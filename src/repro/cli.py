@@ -3,7 +3,8 @@
 Commands
 --------
 ``derive``    print the multicore Cooley-Tukey formula for (n, p, mu)
-``generate``  generate a program and verify it; ``--emit-c`` writes C source
+``generate``  generate a program, verify it, and print its stage summary;
+              ``--emit-c`` prints the standalone C source instead
 ``bench``     sweep one simulated machine and print the Figure 3 panel rows,
               measure real multiprocess speedup (``--runtime process``), or
               measure an execution backend against the NumPy interpreter
@@ -101,7 +102,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             src = generate_c(lower(f, barrier_mu=args.mu), mode=args.mode)
             print(src.source)
         else:
-            print(gen.source)
+            print(gen.program.summary())
     return 0 if ok else 1
 
 

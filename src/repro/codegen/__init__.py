@@ -1,16 +1,19 @@
 """Code generation backends and the execution-backend registry.
 
-Two kinds of artifact come out of this package:
+Each target language has one lowering of the Σ-SPL loop IR:
 
-* **standalone programs** — :func:`generate` (Python source) and
-  :func:`generate_c` (self-contained multithreaded C99), used for
-  verification and the paper's generated-program experiments;
-* **executable stage plans** — built through the backend registry
-  (:mod:`repro.codegen.registry`): ``numpy`` (vectorized interpreter),
-  ``compiled`` (fused C codelets JIT-compiled at plan time,
-  :mod:`repro.codegen.compiled_backend`), and ``simulator`` (the literal
-  per-row Σ-SPL oracle).  Every runtime — smp, mp, serve, search, check —
-  selects its executor through :func:`resolve_backend`.
+* NumPy — :func:`generate` (:mod:`repro.codegen.python_backend`) builds
+  vectorized stage closures that run one vector or a ``(b, n)`` stack;
+* C — :mod:`repro.codegen.compiled_backend` emits one fused function per
+  stage, JIT-compiled into a shared object at plan time, or wrapped by
+  :func:`generate_c` into a self-contained multithreaded C99 program for
+  the paper's generated-program experiments.
+
+Executable stage plans are built through the backend registry
+(:mod:`repro.codegen.registry`): ``numpy``, ``compiled``, and
+``simulator`` (the literal per-row Σ-SPL oracle).  Every runtime — smp,
+mp, serve, search, check — selects its executor through
+:func:`resolve_backend`.
 """
 
 from .c_backend import (

@@ -22,6 +22,7 @@ from ..search.timer import pseudo_mflops_from_seconds, time_batched_callable
 from ..serve.batch_exec import run_batched
 from ..smp.runtime import PThreadsRuntime, SequentialRuntime
 from .registry import get_backend, resolve_backend
+from .unroll import CODELET_MAX
 
 #: default stacked batch, matching the serving layer's coalesced shape
 DEFAULT_BATCH = 8
@@ -34,7 +35,7 @@ def run_backend_bench(
     threads: int = 1,
     batch: int = DEFAULT_BATCH,
     repeats: int = 5,
-    codelet_max: int = 32,
+    codelet_max: int = CODELET_MAX,
     strict: bool = True,
     nu: int = 1,
 ) -> dict:

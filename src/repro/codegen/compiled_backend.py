@@ -1,9 +1,8 @@
 """Compiled-codelet backend: Σ-SPL plans JIT-compiled to native stages.
 
-This module closes the gap between the correctness-only C generator
-(:mod:`repro.codegen.c_backend`, which emits standalone programs) and the
-serving runtimes (which executed Σ-SPL through interpreted NumPy kernels):
-it lowers a :class:`~repro.sigma.loops.SigmaProgram` into one C99
+This module is the repository's one C emitter.  The standalone programs
+of :mod:`repro.codegen.c_backend` embed its stage functions; here it
+lowers a :class:`~repro.sigma.loops.SigmaProgram` into one C99
 translation unit of **fused, unrolled straight-line codelets per (n,
 stage)**, compiles it with gcc *at plan time* into a shared object, and
 wraps each exported stage symbol in a
@@ -61,13 +60,12 @@ from ..sigma.loops import BlockLoop, SigmaProgram
 from ..smp.runtime import PlanStage
 from ..spl.matrices import F2, I
 from ..trace import get_tracer
-from .c_backend import _fmt_cplx_table, _fmt_int_table
 from .flags import shared_cflags
-from .unroll import Codelet
+from .unroll import CODELET_MAX, Codelet
 from .vector_emit import emit_vec_loop
 
 #: kernels up to this size are unrolled into straight-line codelets
-DEFAULT_CODELET_MAX = 32
+DEFAULT_CODELET_MAX = CODELET_MAX
 
 #: environment variable that disables the compiled backend entirely
 NO_CC_ENV = "REPRO_NO_CC"
@@ -164,6 +162,22 @@ def codelet_cache_dir() -> Path:
 
 
 # -- emission ---------------------------------------------------------------
+
+
+def _fmt_int_table(name: str, table: np.ndarray) -> str:
+    flat = table.reshape(-1)
+    body = ",".join(str(int(v)) for v in flat)
+    return f"static const int {name}[{flat.size}] = {{{body}}};"
+
+
+def _fmt_cplx_table(name: str, values: np.ndarray) -> str:
+    flat = values.reshape(-1)
+    parts = []
+    for v in flat:
+        parts.append(repr(float(v.real)))
+        parts.append(repr(float(v.imag)))
+    body = ",".join(parts)
+    return f"static const double {name}[{2 * flat.size}] = {{{body}}};"
 
 
 def _codelet_formula(kernel):
@@ -350,7 +364,7 @@ def _emit_stage(em: _PlanEmitter, stage, sid: int, n: int) -> None:
     The signature is the shared-object ABI: ``(int proc, long b, const
     double *src, double *dst)`` over ``b`` stacked rows of ``n``
     interleaved re/im pairs (NumPy ``complex128`` layout).  Parallel
-    stages branch on ``proc`` exactly like the Python backend, so every
+    stages branch on ``proc`` exactly like the NumPy backend, so every
     runtime's processor-share contract carries over.
     """
     o = em.lines
@@ -388,6 +402,21 @@ def _emit_stage(em: _PlanEmitter, stage, sid: int, n: int) -> None:
     o.append("")
 
 
+def _emit_stages(program: SigmaProgram, codelet_max: int) -> tuple[list, list]:
+    """``(tables, functions)``: the C lines of every ``repro_stage<k>``.
+
+    ``tables`` holds the index tables, scale vectors, codelets, and dense
+    kernel matrices the stage functions reference; both lists need
+    ``<complex.h>``, ``<math.h>``, and ``typedef double complex cplx``
+    ahead of them.  Shared by :func:`emit_plan_source` and the standalone
+    programs of :func:`repro.codegen.c_backend.generate_c`.
+    """
+    em = _PlanEmitter(codelet_max)
+    for sid, stage in enumerate(program.stages):
+        _emit_stage(em, stage, sid, program.size)
+    return em.tables, em.lines
+
+
 def emit_plan_source(
     program: SigmaProgram, codelet_max: int = DEFAULT_CODELET_MAX
 ) -> str:
@@ -400,9 +429,7 @@ def emit_plan_source(
     involved — so it also serves as the readable artifact (`docs/codegen.md`
     walks through an example emission).
     """
-    em = _PlanEmitter(codelet_max)
-    for sid, stage in enumerate(program.stages):
-        _emit_stage(em, stage, sid, program.size)
+    tables, lines = _emit_stages(program, codelet_max)
     header = [
         "/* Generated by repro: compiled-codelet execution backend */",
         f"/* size={program.size} stages={len(program.stages)}"
@@ -413,7 +440,7 @@ def emit_plan_source(
         "typedef double complex cplx;",
         "",
     ]
-    return "\n".join(header + em.tables + [""] + em.lines)
+    return "\n".join(header + tables + [""] + lines)
 
 
 # -- compile + cache --------------------------------------------------------
@@ -458,8 +485,8 @@ class CompiledPlan:
         """Executable :class:`PlanStage` list bound to the stage symbols.
 
         Each ``work(proc, src, dst)`` closure recovers the batch size from
-        the flat buffer length (the batched-stage contract of
-        :mod:`repro.serve.batch_exec`) and calls the exported C function;
+        the flat buffer length (the batched-stage contract every backend
+        shares) and calls the exported C function;
         the ctypes call releases the GIL, so parallel stages scale on the
         pthreads pool.
         """

@@ -8,14 +8,15 @@ registry instead of hard-coding a code generator.  A *backend* turns a
 :class:`~repro.sigma.loops.SigmaProgram` (the Σ-SPL loop IR) into a list
 of :class:`~repro.smp.runtime.PlanStage` entries with **batched
 semantics**: stage closures see flat ``(b*n,)`` double buffers and
-recover the batch size from the buffer length, the contract established
-by :mod:`repro.serve.batch_exec`.
+recover the batch size from the buffer length, the contract of the NumPy
+interpreter (:mod:`repro.codegen.python_backend`).
 
 Three backends ship:
 
 ``numpy``
-    The vectorized interpreter (:func:`repro.serve.batch_exec.batched_stages`)
-    — always available, the universal fallback.
+    The vectorized interpreter
+    (:func:`repro.codegen.python_backend.batched_stages`) — always
+    available, the universal fallback.
 ``compiled``
     Fused C codelets JIT-compiled at plan time
     (:mod:`repro.codegen.compiled_backend`) — available when a C compiler
@@ -40,6 +41,8 @@ from typing import Optional
 from ..sigma.loops import SigmaProgram
 from ..smp.runtime import PlanStage
 from ..trace import get_tracer
+from .python_backend import batched_stages
+from .unroll import CODELET_MAX
 
 #: canonical backend names, in fallback-preference order
 BACKEND_NAMES: tuple[str, ...] = ("numpy", "compiled", "simulator")
@@ -67,7 +70,7 @@ class ExecutionBackend:
         return True
 
     def build_stages(
-        self, program: SigmaProgram, codelet_max: int = 32
+        self, program: SigmaProgram, codelet_max: int = CODELET_MAX
     ) -> list[PlanStage]:
         """Lower ``program`` into executable batched stages.
 
@@ -88,10 +91,8 @@ class NumpyBackend(ExecutionBackend):
 
     name = "numpy"
 
-    def build_stages(self, program, codelet_max=32):
-        """Batch-axis NumPy stages via :mod:`repro.serve.batch_exec`."""
-        from ..serve.batch_exec import batched_stages
-
+    def build_stages(self, program, codelet_max=CODELET_MAX):
+        """Batch-axis NumPy stages (:func:`.python_backend.batched_stages`)."""
         return batched_stages(program, codelet_max)
 
 
@@ -113,7 +114,7 @@ class CompiledBackend(ExecutionBackend):
 
         return compiled_available()
 
-    def build_stages(self, program, codelet_max=32, fallback=True):
+    def build_stages(self, program, codelet_max=CODELET_MAX, fallback=True):
         """JIT the plan to native stages; optionally fall back to NumPy."""
         from ..faults import FaultInjected
         from .compiled_backend import CodeletCompileError, compile_plan
@@ -127,13 +128,13 @@ class CompiledBackend(ExecutionBackend):
             _warn_fallback(self.name)
             return NumpyBackend().build_stages(program, codelet_max)
 
-    def compile(self, program, codelet_max=32):
+    def compile(self, program, codelet_max=CODELET_MAX):
         """The underlying :class:`CompiledPlan` (exposed for provenance)."""
         from .compiled_backend import compile_plan
 
         return compile_plan(program, codelet_max)
 
-    def artifact_info(self, program, codelet_max=32) -> Optional[dict]:
+    def artifact_info(self, program, codelet_max=CODELET_MAX) -> Optional[dict]:
         """Provenance of the plan's cached .so, or None without a compiler."""
         from ..faults import FaultInjected
         from .compiled_backend import CodeletCompileError
@@ -164,43 +165,31 @@ class SimulatorBackend(ExecutionBackend):
 
     name = "simulator"
 
-    def build_stages(self, program, codelet_max=32):
+    def build_stages(self, program, codelet_max=CODELET_MAX):
         """Per-row interpreted stages preserving the plan's structure."""
         n = program.size
         out: list[PlanStage] = []
         for stage in program.stages:
-            if stage.parallel and stage.procs:
-                by_proc = {
-                    proc: [lp for lp in stage.loops if lp.proc == proc]
-                    for proc in stage.procs
-                }
+            parallel = bool(stage.parallel and stage.procs)
+            shares = {
+                p: [lp for lp in stage.loops if lp.proc == p]
+                for p in stage.procs
+            } if parallel else None
 
-                def work(proc, src, dst, _by_proc=by_proc, _n=n):
-                    S = src.reshape(-1, _n)
-                    D = dst.reshape(-1, _n)
-                    for row in range(S.shape[0]):
-                        for lp in _by_proc.get(proc, ()):
-                            lp.execute(S[row], D[row])
+            def work(proc, src, dst, _shares=shares, _all=list(stage.loops)):
+                loops = _all if _shares is None else _shares.get(proc, ())
+                S, D = src.reshape(-1, n), dst.reshape(-1, n)
+                for row in range(S.shape[0]):
+                    for lp in loops:
+                        lp.execute(S[row], D[row])
 
-                nprocs = len(stage.procs)
-            else:
-                loops = list(stage.loops)
-
-                def work(proc, src, dst, _loops=loops, _n=n):
-                    S = src.reshape(-1, _n)
-                    D = dst.reshape(-1, _n)
-                    for row in range(S.shape[0]):
-                        for lp in _loops:
-                            lp.execute(S[row], D[row])
-
-                nprocs = 1
             out.append(
                 PlanStage(
                     work=work,
                     parallel=stage.parallel,
                     needs_barrier=stage.needs_barrier,
                     name=stage.name,
-                    nprocs=nprocs,
+                    nprocs=len(stage.procs) if parallel else 1,
                 )
             )
         return out
@@ -281,7 +270,7 @@ def resolve_backend(
 def build_stages(
     program: SigmaProgram,
     backend: str = "numpy",
-    codelet_max: int = 32,
+    codelet_max: int = CODELET_MAX,
     strict: bool = False,
 ) -> list[PlanStage]:
     """Convenience: resolve ``backend`` and build the program's stages."""

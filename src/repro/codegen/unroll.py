@@ -18,6 +18,7 @@ stage:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,6 +27,10 @@ import numpy as np
 from ..spl.expr import COMPLEX, Compose, DirectSum, Expr, Tensor
 from ..spl.matrices import DFT, Diag, DiagFunc, F2, I, L, Perm, Twiddle
 from ..spl.parallel import LinePerm, ParDirectSum, ParTensor, SMP
+
+#: kernels up to this size become codelets: unrolled straight-line C in
+#: the compiled backend, a dense matrix product in the NumPy interpreter
+CODELET_MAX = 32
 
 _EPS = 1e-12
 
@@ -411,15 +416,28 @@ class Codelet:
         return "\n".join(lines) + "\n"
 
     def compile_python(self):
-        """Exec the Python emission; returns a callable f(x) -> y."""
-        ns: dict = {}
-        exec(self.to_python(), ns)
-        fn = ns[self.name]
+        """A callable ``f(x) -> y`` evaluating the scheduled SSA statements.
+
+        Runs the same operations in the same order as :meth:`to_python`
+        and :meth:`to_c` emit them, without compiling any source.
+        """
+        ops = {"add": operator.add, "sub": operator.sub,
+               "mul": operator.mul, "neg": operator.neg}
 
         def apply(x: np.ndarray) -> np.ndarray:
-            y = np.empty(self.size, dtype=COMPLEX)
-            fn(np.asarray(x, dtype=COMPLEX), y)
-            return y
+            x = np.asarray(x, dtype=COMPLEX)
+            temps: dict = {}
+
+            def ref(node: Node):
+                if node.op == "var":
+                    return x[node.args[0]]
+                if node.op == "const":
+                    return node.value
+                return temps[id(node)]
+
+            for _, node in self.schedule:
+                temps[id(node)] = ops[node.op](*map(ref, node.args))
+            return np.array([ref(out) for out in self.outputs], dtype=COMPLEX)
 
         return apply
 

@@ -22,11 +22,11 @@ compiler's auto-vectorizer actually likes:
   ``restrict``-qualified (stage source/dest never alias: the drivers
   double-buffer).
 
-Emission is backend-agnostic: :func:`emit_vec_loop` writes into any
-emitter exposing ``tables``/``lines`` lists, with the codelet and dense
-kernel registries passed in as callables — both
-:mod:`repro.codegen.compiled_backend` and :mod:`repro.codegen.c_backend`
-route their ``nu > 1`` loops here and keep their scalar emitters as the
+:func:`emit_vec_loop` writes into the emitter's ``tables``/``lines``
+lists, with the codelet and dense kernel registries passed in as
+callables: :mod:`repro.codegen.compiled_backend` (the C emitter, also
+behind :mod:`repro.codegen.c_backend`'s standalone programs) routes its
+``nu > 1`` loops here and keeps its scalar loop emitter as the
 ``devectorize`` fallback for shapes ν does not divide.
 """
 

@@ -24,6 +24,8 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from ..codegen.unroll import CODELET_MAX
+
 #: process-local compile cache: spec -> CompiledSpec
 _CACHE_LOCK = threading.Lock()
 _CACHE: "OrderedDict[PlanSpec, CompiledSpec]" = OrderedDict()
@@ -43,7 +45,7 @@ class PlanSpec:
     mu: int = 4
     strategy: str = "balanced"
     min_leaf: int = 32
-    codelet_max: int = 32
+    codelet_max: int = CODELET_MAX
     #: execution backend the compiling process resolves through the
     #: registry (:func:`repro.codegen.resolve_backend`); a worker without
     #: the requested backend (e.g. no C compiler) falls back to numpy —

@@ -6,7 +6,8 @@ path (see ``docs/serving.md``):
 * :class:`PlanCache` — LRU-bounded plan cache with single-flight planning
   in front of :class:`repro.wisdom.Wisdom`;
 * :mod:`~repro.serve.batch_exec` — stacked ``(b, n)`` execution of a plan
-  on the persistent SMP runtimes;
+  on the persistent SMP runtimes (``batched_stages`` re-exports the NumPy
+  interpreter of :mod:`repro.codegen.python_backend`);
 * :class:`FFTService` — request batching, admission control (bounded queue
   with retry-after backpressure), per-request deadlines, and self-healing:
   a supervisor restarts dead dispatchers, rebuilds broken worker pools,
@@ -22,7 +23,7 @@ Fault injection for all of the above lives in :mod:`repro.faults` and is
 activated by ``repro serve --chaos`` or a test's ``fault_plan(...)`` scope.
 """
 
-from .batch_exec import batched_plan, batched_stages, run_batched
+from .batch_exec import batched_stages, run_batched
 from .client import RemoteError, RetryPolicy, ServeClient, jitter_rng
 from .loadgen import LoadgenConfig, render_report, run_loadgen
 from .metrics import LatencyRecorder, latency_summary, percentile
@@ -58,7 +59,6 @@ __all__ = [
     "ServeConfig",
     "ServeError",
     "ServiceClosed",
-    "batched_plan",
     "batched_stages",
     "graceful_shutdown",
     "install_signal_handlers",

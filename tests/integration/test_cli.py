@@ -22,7 +22,8 @@ class TestGenerate:
     def test_generate_python(self, capsys):
         assert main(["generate", "64", "-p", "2", "--mu", "2"]) == 0
         out = capsys.readouterr()
-        assert "def make_stages(C):" in out.out
+        assert out.out.startswith("SigmaProgram(size=64, stages=")
+        assert "parallel=True" in out.out
         assert "verified=True" in out.err
 
     def test_generate_c(self, capsys):

@@ -35,6 +35,26 @@ class TestGenerateFFT:
     def test_verify_helper(self):
         assert verify_program(generate_fft(64))
 
+    def test_verify_bound_scales_with_input_norm(self):
+        """A program missing its last stage is wrong at every input norm;
+        on an input of norm ~1e-9 a fixed absolute tolerance misses that."""
+        from dataclasses import replace
+
+        class TinyRng:
+            """Draws of norm ~1e-9 (re and im together)."""
+
+            def __init__(self):
+                self.rng = np.random.default_rng(0)
+
+            def standard_normal(self, n):
+                return 1e-9 / np.sqrt(2 * n) * self.rng.standard_normal(n)
+
+        gen = generate_fft(64)
+        wrong = replace(gen, stages=gen.stages[:-1])
+        assert verify_program(gen, rng=TinyRng())
+        assert not verify_program(wrong, rng=TinyRng())
+        assert not verify_program(wrong)
+
     @pytest.mark.parametrize("strategy", ["radix2", "radix-right", "balanced"])
     def test_strategies(self, rng, strategy):
         gen = generate_fft(256, strategy=strategy, min_leaf=8)

@@ -2,6 +2,7 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.frontend import feasible_threads
@@ -73,4 +74,6 @@ class TestCompileCache:
         for a, b in zip(first.stages, second.stages):
             assert a.parallel == b.parallel
             assert a.needs_barrier == b.needs_barrier
-        assert first.program.source == second.program.source
+        x = np.random.default_rng(0).standard_normal(256) + 0j
+        np.testing.assert_array_equal(first.program.run(x),
+                                      second.program.run(x))
